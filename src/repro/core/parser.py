@@ -34,7 +34,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<str>'(?:[^']|'')*')
-  | (?P<num>\d+\.\d+|\.\d+|\d+)
+  | (?P<num>(?:\d+\.\d+|\.\d+|\d+)(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op><>|!=|>=|<=|[=<>])
   | (?P<punct>[(),.*+\-/%])

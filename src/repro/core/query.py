@@ -13,7 +13,7 @@ driver-level middleware does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Aggregates VerdictDB approximates (mean-like, Section 2.2) ...
 APPROXIMABLE = {"count", "sum", "avg", "count_distinct", "stddev", "var", "quantile"}

@@ -1,7 +1,7 @@
-"""AQP Rewriter + Syntax Changer (Fig. 1b): logical query x sample plan
--> one rewritten SQL string implementing the Appendix G template.
+"""AQP Rewriter (Fig. 1b): logical query x sample plan -> one rewritten
+SQL string implementing the Appendix G template.
 
-The rewritten query has three layers, all plain SQL:
+Flat and nested queries share one pipeline, all plain SQL:
 
 1. **variational source** (``vt``): the FROM clause with base tables
    replaced by sample views; adds ``verdict_prob`` (per-tuple inclusion
@@ -9,15 +9,18 @@ The rewritten query has three layers, all plain SQL:
    the minimum across equi-joined universe samples) and ``verdict_sid``
    (subsample id — random per tuple, hash-of-value for count-distinct,
    composed with Theorem 4's h(i, j) when two variational tables join);
-2. **inner aggregate**: ``GROUP BY (groups, sid)`` computing, per
-   subsample, its size, raw Horvitz–Thompson sums, and the
-   window-scaled unbiased estimate of the true answer;
-3. **outer combiner**: the full-sample HT answer plus the Theorem 2
-   error bound ``stddev(est_i) * sqrt(avg(sub_size)/sum(sub_size)) * z``.
-
-A ``Dialect`` seam marks where Impala/Redshift syntax adapters would
-attach (the paper's thin per-engine drivers); only the Spark dialect is
-implemented because Spark is the only engine in this environment.
+2. **per-(groups, sid) layer**: ``GROUP BY (groups, sid)`` computing,
+   per subsample, its size, raw Horvitz–Thompson sums, and the b-scaled
+   unbiased estimate of the true answer. A nested query (Section 5.2,
+   Eq. 6 / Query 7) runs this layer twice: once for the inner query
+   over ``vt`` (its per-sid HT estimates are the variational derived
+   table) and once for the outer query over those estimates, where
+   every outer aggregate is a plain aggregate of the estimates;
+3. **combiner**: the answer — the full-sample HT sum or ratio for
+   count/sum/avg, the size-weighted mean of per-subsample estimates for
+   scale-free statistics and nested outers — plus the Theorem 2 error
+   bound ``stddev(est_i) * sqrt(avg(sub_size)/sum(sub_size)) * z``,
+   then HAVING, ORDER BY and LIMIT.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .catalog import HASHED, SampleMeta
-from .parser import UnsupportedQueryError
+from .parser import UnsupportedQueryError, tokenize
 from .query import AggCall, AggQuery, Relation, agg_sql
 from .planner import PlanEntry
 from .staircase import erfcinv
@@ -36,22 +39,6 @@ from .variational import (
     sid_hash_expr,
     sid_rand_expr,
 )
-
-
-class Dialect:
-    """Engine-specific SQL syntax (the paper's Syntax Changer).
-
-    Spark is the only backend available here; Impala/Redshift adapters
-    would override the quoting / function-name hooks below.
-    """
-
-    name = "spark"
-
-    def percentile(self, expr: str, q: float) -> str:
-        return f"percentile({expr}, {q})"
-
-
-SPARK = Dialect()
 
 
 def z_value(confidence: float) -> float:
@@ -201,65 +188,71 @@ def _scale(raw: str, b: int) -> str:
 
 @dataclass
 class _AggPieces:
-    inner_cols: list[str]
+    raw: list[str]  # per-subsample columns the answer is computed from
+    est: str  # per-subsample estimate of the answer
     final: str
     err: str
 
+    def per_sid_cols(self, k: int) -> list[str]:
+        return self.raw + [f"{self.est} AS est_{k}"]
+
+
+def _theorem2_err(k: int, alias: str, z: float) -> str:
+    return (
+        f"(stddev_samp(est_{k}) * sqrt(avg(verdict_sub_size)) "
+        f"/ sqrt(sum(verdict_sub_size))) * {z!r} AS {alias}_err"
+    )
+
+
+def _plain_agg(agg: AggCall) -> str:
+    """``agg`` evaluated as-is on one subsample."""
+    e = agg.expr if agg.expr not in ("*", "") else "1"
+    if agg.fn == "count":
+        return "count(*)"
+    if agg.fn in ("sum", "avg", "min", "max"):
+        return f"{agg.fn}({e})"
+    if agg.fn in ("var", "stddev"):
+        return f"{'var_samp' if agg.fn == 'var' else 'stddev_samp'}({e})"
+    if agg.fn == "quantile":
+        return f"percentile({e}, {agg.q if agg.q is not None else 0.5})"
+    raise UnsupportedQueryError(f"cannot approximate aggregate {agg.fn!r}")
+
+
+def _size_weighted(agg: AggCall, k: int, z: float) -> _AggPieces:
+    """Each subsample's plain aggregate estimates the answer (scale-free
+    statistics, and every nested outer aggregate over per-sid inner
+    estimates); the answer is their subsample-size-weighted mean."""
+    return _AggPieces(
+        [],
+        _plain_agg(agg),
+        f"sum(est_{k} * verdict_sub_size) / sum(verdict_sub_size) "
+        f"AS {agg.alias}",
+        _theorem2_err(k, agg.alias, z),
+    )
+
 
 def _pieces(
-    agg: AggCall,
-    k: int,
-    *,
-    b: int,
-    domain_tau: float | None,
-    z: float,
-    dialect: Dialect,
+    agg: AggCall, k: int, *, b: int, domain_tau: float | None, z: float
 ) -> _AggPieces:
+    """Per-sid columns and combiner of ``agg`` over the variational table."""
     e = agg.expr if agg.expr not in ("*", "") else "1"
     ht_cnt = "sum(1.0 / verdict_prob)"
     ht_sum = f"sum(({e}) / verdict_prob)"
-    generic_err = (
-        f"(stddev_samp(est_{k}) * sqrt(avg(verdict_sub_size)) "
-        f"/ sqrt(sum(verdict_sub_size))) * {z!r} AS {agg.alias}_err"
-    )
-    if agg.fn == "count":
+    err = _theorem2_err(k, agg.alias, z)
+    if agg.fn in ("count", "sum"):
+        ht = ht_cnt if agg.fn == "count" else ht_sum
         return _AggPieces(
-            [f"{ht_cnt} AS raw_{k}", f"{_scale(ht_cnt, b)} AS est_{k}"],
-            f"sum(raw_{k}) AS {agg.alias}",
-            generic_err,
-        )
-    if agg.fn == "sum":
-        return _AggPieces(
-            [f"{ht_sum} AS raw_{k}", f"{_scale(ht_sum, b)} AS est_{k}"],
-            f"sum(raw_{k}) AS {agg.alias}",
-            generic_err,
+            [f"{ht} AS raw_{k}"], _scale(ht, b), f"sum(raw_{k}) AS {agg.alias}", err
         )
     if agg.fn == "avg":
         return _AggPieces(
-            [
-                f"{ht_sum} AS num_{k}",
-                f"{ht_cnt} AS den_{k}",
-                f"({ht_sum}) / ({ht_cnt}) AS est_{k}",
-            ],
+            [f"{ht_sum} AS num_{k}", f"{ht_cnt} AS den_{k}"],
+            f"({ht_sum}) / ({ht_cnt})",
             f"sum(num_{k}) / sum(den_{k}) AS {agg.alias}",
-            generic_err,
+            err,
         )
-    if agg.fn in ("var", "stddev"):
-        fn = "var_samp" if agg.fn == "var" else "stddev_samp"
-        return _AggPieces(
-            [f"{fn}({e}) AS est_{k}"],
-            f"sum(est_{k} * verdict_sub_size) / sum(verdict_sub_size) "
-            f"AS {agg.alias}",
-            generic_err,
-        )
-    if agg.fn == "quantile":
-        p = dialect.percentile(e, agg.q if agg.q is not None else 0.5)
-        return _AggPieces(
-            [f"{p} AS est_{k}"],
-            f"sum(est_{k} * verdict_sub_size) / sum(verdict_sub_size) "
-            f"AS {agg.alias}",
-            generic_err,
-        )
+    if agg.fn in ("var", "stddev", "quantile"):
+        return _size_weighted(agg, k, z)
     if agg.fn == "count_distinct":
         if domain_tau is None or domain_tau <= 0:
             raise UnsupportedQueryError(
@@ -269,7 +262,8 @@ def _pieces(
         # tau/b slice, so d_i * b / tau estimates the full distinct count
         # independently; the plain mean recovers distinct(sample)/tau.
         return _AggPieces(
-            [f"count(DISTINCT {e}) * {b} / {domain_tau!r} AS est_{k}"],
+            [],
+            f"count(DISTINCT {e}) * {b} / {domain_tau!r}",
             f"avg(est_{k}) AS {agg.alias}",
             f"(stddev_samp(est_{k}) / sqrt(count(*))) * {z!r} "
             f"AS {agg.alias}_err",
@@ -280,8 +274,6 @@ def _pieces(
 def _substitute_having(having: str, aggs: tuple[AggCall, ...]) -> str:
     """Replace raw aggregate expressions in HAVING with their aliases
     so the clause can run against the rewritten (combined) output."""
-    from .parser import tokenize
-
     out = having
     for a in aggs:
         rendered = agg_sql(a)
@@ -294,23 +286,37 @@ def _substitute_having(having: str, aggs: tuple[AggCall, ...]) -> str:
 
 
 # --------------------------------------------------------------------------
-# flat queries
+# the shared pipeline: vt -> per-(groups, sid) layer -> combine
 # --------------------------------------------------------------------------
 
 
-def rewrite_flat(
+def _per_sid(
+    src: str,
+    name: str,
+    groups: tuple[str, ...],
+    size: str,
+    cols: list[str],
+    where: str | None = None,
+) -> str:
+    """One ``GROUP BY (groups, sid)`` layer over the subquery ``src``."""
+    select = list(groups) + ["verdict_sid", size] + cols
+    sql = f"SELECT {', '.join(select)} FROM ({src}) {name}"
+    if where:
+        sql += f" WHERE {where}"
+    return sql + f" GROUP BY {', '.join(list(groups) + ['verdict_sid'])}"
+
+
+def _rewrite(
     query: AggQuery,
     entry: PlanEntry,
     *,
     columns_of: Callable[[str], list[str]],
-    confidence: float = 0.95,
-    seed: int | None = None,
-    b: int | None = None,
-    dialect: Dialect = SPARK,
+    confidence: float,
+    seed: int | None,
+    b: int | None,
 ) -> Rewritten:
-    """Rewrite a flat aggregate query per the Appendix G template."""
-    if not isinstance(query.source, Relation):
-        raise UnsupportedQueryError("rewrite_flat requires a flat query")
+    """Rewrite ``query`` (flat, or one level of nesting) per Appendix G."""
+    base = query.source if query.nested else query  # aggregates over vt
     assignment = entry.tables
     sampled = [m for m in assignment.values() if m is not None]
     if not sampled:
@@ -331,50 +337,86 @@ def rewrite_flat(
                 break
 
     vt = _vt_sql(
-        query.source,
+        base.source,
         assignment,
-        query.where,
+        base.where,
         b,
         columns_of=columns_of,
         seed=seed,
         hash_sid_cols=hash_sid_cols,
     )
-
     groups = tuple(_plain(g) for g in query.groups)
-    pieces = [
-        _pieces(a, k, b=b, domain_tau=domain_tau, z=z, dialect=dialect)
-        for k, a in enumerate(entry.aggs)
-    ]
-
-    inner_select = list(groups) + ["verdict_sid", "count(*) AS verdict_sub_size"]
-    for p in pieces:
-        inner_select.extend(p.inner_cols)
-    group_by = ", ".join(list(groups) + ["verdict_sid"])
-    inner_sql = (
-        f"SELECT {', '.join(inner_select)} FROM ({vt}) verdict_vt "
-        f"GROUP BY {group_by}"
+    if query.nested:
+        # Query 7: the inner query's per-sid HT estimates, under their
+        # own aliases, form the variational derived table t_v ...
+        tv_cols = []
+        for k, a in enumerate(base.aggs):
+            if a.fn not in ("count", "sum", "avg"):
+                raise UnsupportedQueryError(
+                    f"inner aggregate {a.fn!r} unsupported in nested queries"
+                )
+            est = _pieces(a, k, b=b, domain_tau=None, z=z).est
+            tv_cols.append(f"{est} AS {a.alias}")
+        tv = _per_sid(
+            vt,
+            "verdict_vt",
+            tuple(_plain(g) for g in base.groups),
+            "count(*) AS verdict_tuples",
+            tv_cols,
+        )
+        # ... over which every outer aggregate is a per-sid estimate
+        aggs = query.aggs
+        pieces = [_size_weighted(a, k, z) for k, a in enumerate(aggs)]
+        src, name, size = tv, "verdict_tv", "sum(verdict_tuples) AS verdict_sub_size"
+        where = query.where
+    else:
+        aggs = entry.aggs
+        pieces = [
+            _pieces(a, k, b=b, domain_tau=domain_tau, z=z)
+            for k, a in enumerate(aggs)
+        ]
+        src, name, size = vt, "verdict_vt", "count(*) AS verdict_sub_size"
+        where = None  # already applied in vt
+    per_sid = _per_sid(
+        src,
+        name,
+        groups,
+        size,
+        [c for k, p in enumerate(pieces) for c in p.per_sid_cols(k)],
+        where,
     )
 
-    outer_select = list(groups) + [p.final for p in pieces] + [p.err for p in pieces]
-    outer_sql = f"SELECT {', '.join(outer_select)} FROM ({inner_sql}) verdict_sub"
+    select = list(groups) + [p.final for p in pieces] + [p.err for p in pieces]
+    sql = f"SELECT {', '.join(select)} FROM ({per_sid}) verdict_sub"
     if groups:
-        outer_sql += f" GROUP BY {', '.join(groups)}"
-
+        sql += f" GROUP BY {', '.join(groups)}"
     if query.having:
-        hv = _substitute_having(query.having, entry.aggs)
-        outer_sql = f"SELECT * FROM ({outer_sql}) verdict_hv WHERE {hv}"
+        hv = _substitute_having(query.having, aggs)
+        sql = f"SELECT * FROM ({sql}) verdict_hv WHERE {hv}"
     if query.order_by:
-        outer_sql += f" ORDER BY {query.order_by}"
+        sql += f" ORDER BY {query.order_by}"
     if query.limit is not None:
-        outer_sql += f" LIMIT {query.limit}"
+        sql += f" LIMIT {query.limit}"
 
-    outputs = tuple(AggOutput(a.alias, f"{a.alias}_err") for a in entry.aggs)
-    return Rewritten(sql=outer_sql, outputs=outputs, b=b)
+    outputs = tuple(AggOutput(a.alias, f"{a.alias}_err") for a in aggs)
+    return Rewritten(sql=sql, outputs=outputs, b=b)
 
 
-# --------------------------------------------------------------------------
-# nested queries (Section 5.2, Query 5 shape)
-# --------------------------------------------------------------------------
+def rewrite_flat(
+    query: AggQuery,
+    entry: PlanEntry,
+    *,
+    columns_of: Callable[[str], list[str]],
+    confidence: float = 0.95,
+    seed: int | None = None,
+    b: int | None = None,
+) -> Rewritten:
+    """Rewrite a flat aggregate query per the Appendix G template."""
+    if not isinstance(query.source, Relation):
+        raise UnsupportedQueryError("rewrite_flat requires a flat query")
+    return _rewrite(
+        query, entry, columns_of=columns_of, confidence=confidence, seed=seed, b=b
+    )
 
 
 def rewrite_nested(
@@ -385,102 +427,19 @@ def rewrite_nested(
     confidence: float = 0.95,
     seed: int | None = None,
     b: int | None = None,
-    dialect: Dialect = SPARK,
 ) -> Rewritten:
-    """Rewrite an aggregate-over-aggregate query as one linear pipeline.
+    """Rewrite an aggregate-over-aggregate query (Section 5.2, Query 5).
 
-    Query 7's variational derived table (inner GROUP BY gains ``sid``)
-    feeds per-subsample outer estimates. Each per-sid estimate is an
-    unbiased estimate of the final answer, so — exactly as in the flat
-    template for scale-free statistics — the answer is their
-    subsample-size-weighted mean and the error is the Theorem 2 scaled
-    stddev. One chain vt -> t_v -> per-sid -> combine; no second pass
-    over the sample (Spark inlines CTEs, so a separate sid-free answer
-    path would re-execute the variational source).
+    The inner query's GROUP BY gains ``sid`` (Eq. 6 / Query 7); each
+    per-sid outer aggregate is then an unbiased estimate of the final
+    answer, combined exactly like the flat template's scale-free
+    statistics. One chain vt -> t_v -> per-sid -> combine; no second
+    pass over the sample (Spark inlines CTEs, so a separate sid-free
+    answer path would re-execute the variational source).
     """
     inner = query.source
     if not isinstance(inner, AggQuery) or not isinstance(inner.source, Relation):
         raise UnsupportedQueryError("rewrite_nested requires one nesting level")
-    assignment = entry.tables
-    sampled = [m for m in assignment.values() if m is not None]
-    if not sampled:
-        raise UnsupportedQueryError("no sampled relation in plan entry")
-    if b is None:
-        b = b_for(min(m.rows for m in sampled))
-    z = z_value(confidence)
-
-    vt = _vt_sql(
-        inner.source, assignment, inner.where, b, columns_of=columns_of, seed=seed
+    return _rewrite(
+        query, entry, columns_of=columns_of, confidence=confidence, seed=seed, b=b
     )
-    g_in = tuple(_plain(g) for g in inner.groups)
-
-    def inner_est(a: AggCall) -> str:
-        e = a.expr if a.expr not in ("*", "") else "1"
-        ht_cnt = "sum(1.0 / verdict_prob)"
-        ht_sum = f"sum(({e}) / verdict_prob)"
-        if a.fn == "count":
-            return f"{_scale(ht_cnt, b)} AS {a.alias}"
-        if a.fn == "sum":
-            return f"{_scale(ht_sum, b)} AS {a.alias}"
-        if a.fn == "avg":
-            return f"({ht_sum}) / ({ht_cnt}) AS {a.alias}"
-        raise UnsupportedQueryError(
-            f"inner aggregate {a.fn!r} unsupported in nested queries"
-        )
-
-    # Query 7: variational table of the derived table t
-    tv_select = (
-        list(g_in)
-        + ["verdict_sid", "count(*) AS verdict_tuples"]
-        + [inner_est(a) for a in inner.aggs]
-    )
-    tv_sql = (
-        f"SELECT {', '.join(tv_select)} FROM ({vt}) verdict_vt "
-        f"GROUP BY {', '.join(list(g_in) + ['verdict_sid'])}"
-    )
-
-    g_out = tuple(_plain(g) for g in query.groups)
-
-    def outer_agg(a: AggCall) -> str:
-        e = a.expr if a.expr not in ("*", "") else "1"
-        if a.fn == "count":
-            return "count(*)"
-        if a.fn in ("sum", "avg", "min", "max"):
-            return f"{a.fn}({e})"
-        if a.fn in ("var", "stddev"):
-            return f"{'var_samp' if a.fn == 'var' else 'stddev_samp'}({e})"
-        if a.fn == "quantile":
-            return dialect.percentile(e, a.q if a.q is not None else 0.5)
-        raise UnsupportedQueryError(f"outer aggregate {a.fn!r} unsupported")
-
-    where_out = f" WHERE {query.where}" if query.where else ""
-    # per-subsample outer estimates over t_v
-    sub_select = (
-        list(g_out)
-        + ["verdict_sid", "sum(verdict_tuples) AS verdict_sub_size"]
-        + [f"{outer_agg(a)} AS est_{k}" for k, a in enumerate(query.aggs)]
-    )
-    sub_sql = (
-        f"SELECT {', '.join(sub_select)} FROM ({tv_sql}) verdict_tv{where_out} "
-        f"GROUP BY {', '.join(list(g_out) + ['verdict_sid'])}"
-    )
-    final_select = list(g_out)
-    for k, a in enumerate(query.aggs):
-        final_select.append(
-            f"sum(est_{k} * verdict_sub_size) / sum(verdict_sub_size) "
-            f"AS {a.alias}"
-        )
-    for k, a in enumerate(query.aggs):
-        final_select.append(
-            f"(stddev_samp(est_{k}) * sqrt(avg(verdict_sub_size)) "
-            f"/ sqrt(sum(verdict_sub_size))) * {z!r} AS {a.alias}_err"
-        )
-    sql = f"SELECT {', '.join(final_select)} FROM ({sub_sql}) verdict_sub"
-    if g_out:
-        sql += f" GROUP BY {', '.join(g_out)}"
-    if query.order_by:
-        sql += f" ORDER BY {query.order_by}"
-    if query.limit is not None:
-        sql += f" LIMIT {query.limit}"
-    outputs = tuple(AggOutput(a.alias, f"{a.alias}_err") for a in query.aggs)
-    return Rewritten(sql=sql, outputs=outputs, b=b)

@@ -13,35 +13,24 @@ is the normal approximation of the ``delta``-quantile of Binomial(n, p).
 *lower* tail: requiring ``g(p; n) >= m`` guarantees at least ``m``
 successes with probability ``1 - delta``.
 
-The container ships no scipy, so ``erfcinv`` is implemented by bisection
-on :func:`math.erfc` (monotone decreasing); it is accurate to ~1e-12,
-far beyond what the staircase needs.
+``erfcinv`` comes from the stdlib normal quantile:
+``erfc(x) = 2 (1 - Phi(x sqrt(2)))``, so
+``erfcinv(y) = Phi^{-1}(1 - y/2) / sqrt(2)``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 DEFAULT_DELTA = 0.001
 
 
 def erfcinv(y: float) -> float:
-    """Inverse of the complementary error function on (0, 2).
-
-    erfc is strictly decreasing from 2 (at -inf) to 0 (at +inf);
-    bisection over [-8, 8] covers erfc values in (~1e-29, 2 - 1e-29),
-    which is far wider than any quantile the staircase uses.
-    """
+    """Inverse of the complementary error function on (0, 2)."""
     if not 0.0 < y < 2.0:
         raise ValueError(f"erfcinv domain is (0, 2), got {y}")
-    lo, hi = -8.0, 8.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if math.erfc(mid) > y:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    return NormalDist().inv_cdf(1.0 - y / 2.0) / math.sqrt(2.0)
 
 
 def g(p: float, n: int, delta: float = DEFAULT_DELTA) -> float:

@@ -22,19 +22,12 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from . import sampling
-from .catalog import HASHED, STRATIFIED, SampleCatalog
+from .catalog import SampleCatalog
 from .estimators import ApproxResult
 from .flatten import flatten
 from .parser import UnsupportedQueryError, parse
-from .planner import (
-    DEFAULT_IO_BUDGET,
-    DEFAULT_K,
-    Plan,
-    PlanEntry,
-    exact_plan,
-    plan_query,
-)
-from .query import EXTREME, AggQuery, Relation, agg_sql, exact_sql
+from .planner import DEFAULT_IO_BUDGET, DEFAULT_K, plan_query
+from .query import EXTREME, AggQuery, exact_sql
 from .rewriter import AggOutput, rewrite_flat, rewrite_nested
 
 _derived_counter = itertools.count()

@@ -18,6 +18,12 @@ class TestTokenizer:
     def test_numbers(self):
         assert tokenize("1.5 + .25 - 3") == ["1.5", "+", ".25", "-", "3"]
 
+    def test_scientific_numbers(self):
+        # one token each, so re-emitted predicates stay valid SQL
+        assert tokenize("a > 1e15 and b < 2.5E-3") == [
+            "a", ">", "1e15", "and", "b", "<", "2.5E-3"
+        ]
+
     def test_operators(self):
         assert tokenize("a >= 1 and b <> 2") == ["a", ">=", "1", "and", "b", "<>", "2"]
 

@@ -82,6 +82,29 @@ class TestFacadeBehaviour:
         assert "unsupported" in res.fallback_reason
         assert res.df.count() == 3
 
+    def test_nested_outer_having_applied(self, spark, verdict):
+        """An outer HAVING on a nested query filters the approximate
+        answer like the exact one (no group's average reaches 1e15)."""
+        sql = (
+            "select l_returnflag, avg(sales) as a from "
+            "(select l_returnflag, l_linestatus, sum(l_extendedprice) as sales "
+            "from lineitem group by l_returnflag, l_linestatus) t "
+            "group by l_returnflag having avg(sales) > 1e15"
+        )
+        res = verdict.sql(sql, seed=1)
+        assert res.approx, res.fallback_reason
+        assert res.df.count() == spark.sql(sql).count() == 0
+
+    def test_nested_inner_having_runs_exact(self, spark, verdict):
+        sql = (
+            "select avg(sales) as a from "
+            "(select l_returnflag, sum(l_extendedprice) as sales from lineitem "
+            "group by l_returnflag having sum(l_extendedprice) > 0) t"
+        )
+        res = verdict.sql(sql, seed=1)
+        assert not res.approx
+        assert res.df.collect() == spark.sql(sql).collect()
+
     def test_error_columns_present_when_approx(self, verdict):
         res = verdict.sql(
             "select count(*) as c from lineitem", seed=1
