@@ -1,26 +1,28 @@
 """Sample-table construction in pure SQL (Sections 3.1–3.2).
 
-Every builder issues plain ``SELECT`` statements through
-``spark.sql(...)`` — the middleware constraint of the paper. The
-resulting DataFrame is cached and counted (the local stand-in for the
-paper's ``CREATE TABLE ... AS SELECT`` materialisation; a lazy view over
-``rand()`` would silently re-draw the sample on every use) and
-registered as a temp view whose name the planner receives via
-:class:`~repro.core.catalog.SampleMeta`.
-
 Each sample table is the base table plus one extra column,
 ``verdict_prob`` — the per-tuple inclusion probability (Section 3.1).
 That single column is what lets one Horvitz–Thompson rewrite template
 serve all sample types.
 
-Randomness: all builders accept a ``seed`` forwarded to SQL ``rand(seed)``
-so tests are reproducible for a fixed session/partitioning.
+Every builder issues two ``spark.sql`` SELECTs — the middleware
+constraint of the paper: one metadata query (the base-table row count
+plus whatever fixes the probabilities), then the sample itself, which
+``_materialise`` caches and counts (the local stand-in for ``CREATE
+TABLE ... AS SELECT``; a lazy view over ``rand()`` would re-draw the
+sample on every use) and registers as the sample's one temp view, named
+in its :class:`~repro.core.catalog.SampleMeta`. :func:`drop_sample`
+frees both.
+
+Randomness: ``seed`` is forwarded to SQL ``rand(seed)``, so uniform and
+stratified samples are reproducible for a fixed session/partitioning;
+hashed samples are deterministic.
 """
 from __future__ import annotations
 
 import itertools
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from .catalog import HASHED, STRATIFIED, UNIFORM, SampleCatalog, SampleMeta
 from .staircase import DEFAULT_DELTA, staircase_case_sql, staircase_steps
@@ -32,23 +34,27 @@ _view_counter = itertools.count()
 _HASH_BUCKETS = 1_000_000
 
 
-def _fresh_view(table: str, kind: str) -> str:
-    return f"{table}__{kind}_{next(_view_counter)}"
-
-
-def _materialise(spark: SparkSession, sql: str, view: str) -> tuple[DataFrame, int]:
+def _materialise(
+    spark: SparkSession,
+    sql: str,
+    catalog: SampleCatalog | None,
+    table: str,
+    stype: str,
+    columns: tuple[str, ...],
+    ratio: float,
+    base_rows: int,
+) -> SampleMeta:
     # Samples are small by construction (a few % of the base table);
     # coalescing avoids dragging the base table's partition count — and
     # its per-task scheduling overhead — into every rewritten query.
-    df = spark.sql(sql).coalesce(4)
-    df = df.cache()
+    df = spark.sql(sql).coalesce(4).cache()
     rows = df.count()
+    view = f"{table}__{stype}_{next(_view_counter)}"
     df.createOrReplaceTempView(view)
-    return df, rows
-
-
-def _count(spark: SparkSession, table: str) -> int:
-    return spark.sql(f"SELECT count(*) AS n FROM {table}").collect()[0]["n"]
+    meta = SampleMeta(table, view, stype, tuple(columns), ratio, rows, base_rows)
+    if catalog is not None:
+        catalog.add(meta)
+    return meta
 
 
 def hash01_expr(cols: tuple[str, ...], salt: int = 0) -> str:
@@ -70,17 +76,13 @@ def create_uniform_sample(
     catalog: SampleCatalog | None = None,
 ) -> SampleMeta:
     """Bernoulli sample: every tuple kept independently with prob ``ratio``."""
-    view = _fresh_view(table, "uniform")
+    base_rows = spark.sql(f"SELECT count(*) AS n FROM {table}").collect()[0]["n"]
     rand = f"rand({seed})" if seed is not None else "rand()"
     sql = (
         f"SELECT *, CAST({ratio!r} AS DOUBLE) AS verdict_prob "
         f"FROM {table} WHERE {rand} < {ratio!r}"
     )
-    _, rows = _materialise(spark, sql, view)
-    meta = SampleMeta(table, view, UNIFORM, (), ratio, rows, _count(spark, table))
-    if catalog is not None:
-        catalog.add(meta)
-    return meta
+    return _materialise(spark, sql, catalog, table, UNIFORM, (), ratio, base_rows)
 
 
 def create_hashed_sample(
@@ -97,24 +99,21 @@ def create_hashed_sample(
     which is what makes sample–sample equi-joins on these columns
     recover the full join density (Section 5.1). Per Section 3.1 the
     stored probability is the realised ratio |T_s|/|T| (constant per
-    tuple), so the view is built in two steps: sample, count, then wrap
-    with the literal probability column.
+    tuple). The hash is deterministic, so one metadata query counts both
+    |T| and |T_s| before the sample is built with that ratio as a
+    literal column.
     """
-    base_rows = _count(spark, table)
-    view = _fresh_view(table, "hashed")
-    raw_view = view + "_raw"
-    sql = f"SELECT * FROM {table} WHERE {hash01_expr(columns)} < {ratio!r}"
-    _, rows = _materialise(spark, sql, raw_view)
-    prob = rows / base_rows if base_rows else 0.0
-    _materialise(
-        spark,
-        f"SELECT *, CAST({prob!r} AS DOUBLE) AS verdict_prob FROM {raw_view}",
-        view,
+    keep = f"{hash01_expr(columns)} < {ratio!r}"
+    stats = spark.sql(
+        f"SELECT count(*) AS n, count_if({keep}) AS k FROM {table}"
+    ).collect()[0]
+    base_rows = stats["n"]
+    prob = stats["k"] / base_rows if base_rows else 0.0
+    sql = (
+        f"SELECT *, CAST({prob!r} AS DOUBLE) AS verdict_prob "
+        f"FROM {table} WHERE {keep}"
     )
-    meta = SampleMeta(table, view, HASHED, tuple(columns), ratio, rows, base_rows)
-    if catalog is not None:
-        catalog.add(meta)
-    return meta
+    return _materialise(spark, sql, catalog, table, HASHED, columns, ratio, base_rows)
 
 
 def create_stratified_sample(
@@ -130,46 +129,39 @@ def create_stratified_sample(
 ) -> SampleMeta:
     """Two-pass probabilistic stratified sample (Section 3.2).
 
-    Pass 1 computes per-stratum sizes with a GROUP BY; pass 2 joins them
-    back and Bernoulli-samples each tuple with the staircase probability
-    that guarantees (w.p. 1-delta) at least
+    Pass 1 aggregates the per-stratum sizes (their sum |T|, their count
+    d and their maximum); pass 2 joins the same GROUP BY back inline and
+    Bernoulli-samples each tuple with the staircase probability that
+    guarantees (w.p. 1-delta) at least
     ``m = min(|T| * ratio / d, strata_size)`` tuples per stratum
     (Equation 1 / Lemma 1). Both passes are single standard SELECTs —
     no procedural SQL, fully parallelisable.
     """
     cols = ", ".join(columns)
-    base_rows = _count(spark, table)
-    temp_view = _fresh_view(table, "strata")
-    _materialise(
-        spark,
-        f"SELECT {cols}, count(*) AS strata_size FROM {table} GROUP BY {cols}",
-        temp_view,
-    )
-    d = _count(spark, temp_view)
+    strata = f"SELECT {cols}, count(*) AS strata_size FROM {table} GROUP BY {cols}"
+    stats = spark.sql(
+        f"SELECT sum(strata_size) AS n, count(*) AS d, "
+        f"max(strata_size) AS mx FROM ({strata})"
+    ).collect()[0]
+    base_rows, d = stats["n"], stats["d"]
     if min_per_stratum is None:
         m = max(1.0, base_rows * ratio / max(d, 1))
     else:
         m = float(min_per_stratum)
-    max_stratum = spark.sql(
-        f"SELECT max(strata_size) AS mx FROM {temp_view}"
-    ).collect()[0]["mx"]
     case = staircase_case_sql(
-        staircase_steps(m, int(max_stratum), delta=delta), "t2.strata_size"
+        staircase_steps(m, int(stats["mx"]), delta=delta), "t2.strata_size"
     )
     on = " AND ".join(f"t1.{c} = t2.{c}" for c in columns)
     rand = f"rand({seed})" if seed is not None else "rand()"
-    view = _fresh_view(table, "stratified")
     sql = (
         f"SELECT * FROM ("
         f"  SELECT t1.*, {case} AS verdict_prob"
-        f"  FROM {table} t1 INNER JOIN {temp_view} t2 ON {on}"
+        f"  FROM {table} t1 INNER JOIN ({strata}) t2 ON {on}"
         f") WHERE {rand} < verdict_prob"
     )
-    _, rows = _materialise(spark, sql, view)
-    meta = SampleMeta(table, view, STRATIFIED, tuple(columns), ratio, rows, base_rows)
-    if catalog is not None:
-        catalog.add(meta)
-    return meta
+    return _materialise(
+        spark, sql, catalog, table, STRATIFIED, columns, ratio, base_rows
+    )
 
 
 def drop_sample(spark: SparkSession, meta: SampleMeta) -> None:

@@ -322,11 +322,15 @@ class VerdictContext:
                 (df, tuple(AggOutput(a.alias, None) for a in extreme))
             )
 
-        # 6. assemble (Answer Rewriter): join partial results on groups
+        # 6. assemble (Answer Rewriter): join partial results on groups;
+        #    null-safe, so a NULL group key is a group like any other
         df, outputs = entry_results[0]
+        keys = [f"verdict_key_{i}" for i in range(len(groups))]
         for part_df, part_outs in entry_results[1:]:
             if groups:
-                df = df.join(part_df, on=list(groups), how="inner")
+                part_df = part_df.withColumnsRenamed(dict(zip(groups, keys)))
+                on = [F.col(g).eqNullSafe(F.col(k)) for g, k in zip(groups, keys)]
+                df = df.join(part_df, on=on, how="inner").drop(*keys)
             else:
                 df = df.crossJoin(part_df)
             outputs = outputs + part_outs

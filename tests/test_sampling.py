@@ -8,6 +8,7 @@ from repro.core.sampling import (
     create_hashed_sample,
     create_stratified_sample,
     create_uniform_sample,
+    drop_sample,
     hash01_expr,
 )
 
@@ -172,3 +173,45 @@ class TestStratified:
         )
         # every stratum has 1 tuple < m, so probs are 1 and all rows kept
         assert meta.rows == meta.base_rows
+
+
+def _temp_views(spark):
+    return {t.name for t in spark.catalog.listTables() if t.isTemporary}
+
+
+def _cached_rdds(spark):
+    return {
+        info.id(): info.memSize() + info.diskSize()
+        for info in spark.sparkContext._jsc.sc().getRDDStorageInfo()
+    }
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(
+            lambda s: create_uniform_sample(s, "orders", ratio=0.1, seed=1),
+            id="uniform",
+        ),
+        pytest.param(
+            lambda s: create_hashed_sample(s, "orders", ("o_custkey",), ratio=0.1),
+            id="hashed",
+        ),
+        pytest.param(
+            lambda s: create_stratified_sample(
+                s, "lineitem", ("l_returnflag",), ratio=0.02, seed=2
+            ),
+            id="stratified",
+        ),
+    ],
+)
+def test_drop_sample_leaves_nothing(spark, tpch, build):
+    """A sample is one temp view over one cached relation, and
+    drop_sample frees both."""
+    views, cached = _temp_views(spark), _cached_rdds(spark)
+    meta = build(spark)
+    assert _temp_views(spark) - views == {meta.view}
+    drop_sample(spark, meta)
+    assert _temp_views(spark) == views
+    left = {i: b for i, b in _cached_rdds(spark).items() if i not in cached}
+    assert left == {}

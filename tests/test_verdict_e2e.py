@@ -154,6 +154,30 @@ class TestFacadeBehaviour:
         assert [o.alias for o in res.outputs] == ["mx", "av"]
         assert res.outputs[0].err_alias is None
 
+    def test_assembly_keeps_null_group(self, spark):
+        """Joining the min/max part to the approximate part must keep a
+        NULL group key: all four exact groups come back, max exact."""
+        from repro.core.sampling import drop_sample
+        from repro.core.verdict import VerdictContext
+
+        spark.range(20_000).selectExpr(
+            "CASE WHEN id % 4 = 0 THEN NULL ELSE id % 3 END AS g",
+            "CAST(id % 97 AS DOUBLE) AS x",
+        ).createOrReplaceTempView("null_groups")
+        v = VerdictContext(spark, budget=0.25, seed=7)
+        meta = v.create_uniform_sample("null_groups", ratio=0.1)
+        sql = "select g, avg(x) as a, max(x) as mx from null_groups group by g"
+        try:
+            res = v.sql(sql, seed=1)
+            assert res.approx, res.fallback_reason
+            got = {r["g"]: r["mx"] for r in res.df.collect()}
+            want = {r["g"]: r["mx"] for r in spark.sql(sql).collect()}
+            assert len(want) == 4 and None in want
+            assert got == want
+        finally:
+            drop_sample(spark, meta)
+            spark.catalog.dropTempView("null_groups")
+
     def test_budget_override_forces_exact(self, verdict):
         """A per-query budget below every sample's ratio -> exact."""
         res = verdict.sql(
